@@ -151,7 +151,8 @@ inline double Percentile(std::vector<double> xs, double q) {
   return xs[lo] + (xs[hi] - xs[lo]) * frac;
 }
 
-// One machine-readable result row for scripts/bench.sh (schema BENCH_8): latency
+// One machine-readable result row for scripts/bench.sh (its header documents the
+// BENCH_<N>.json schema): latency
 // percentiles are in microseconds of simulated time; msgs_per_sec may be 0 for
 // latency-only benches.
 struct BenchResult {
@@ -176,7 +177,7 @@ inline BenchResult MakeLatencyResult(const std::string& name,
 }
 
 // Appends `results` as JSON lines to the file named by $BENCH_JSON (no-op when the
-// variable is unset). scripts/bench.sh assembles the lines into BENCH_8.json.
+// variable is unset). scripts/bench.sh assembles the lines into BENCH_<N>.json.
 inline void EmitBenchJson(const std::vector<BenchResult>& results) {
   const char* path = std::getenv("BENCH_JSON");
   if (path == nullptr || results.empty()) {

@@ -53,6 +53,11 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -L hotlint
 echo "== wirecheck over every codec (-L wirecheck: schema goldens, symmetry, decode safety)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L wirecheck
 
+# The benchmark's own build (.bench_build/busbench, no sanitizers): a protocol change
+# that breaks its delivery oracle or its repeat-for-repeat determinism fails here.
+echo "== busbench smoke (all four workloads at 2% scale + traced pass + self-test)"
+python3 busbench/run.py --smoke
+
 # Optional fuzz smoke: IB_FUZZ=ON scripts/check.sh spends ~30 s fuzzing the three
 # frontline decoders (libFuzzer under clang; deterministic corpus replay on GCC).
 if [[ "${IB_FUZZ:-OFF}" == "ON" ]]; then

@@ -241,11 +241,13 @@ void BusDaemon::HandleClientPublish(const Datagram& /*from*/, const Bytes& paylo
   // (including this one, via medium loopback).
   sender_->Publish(payload);
 #if IBUS_TELEMETRY
-  // Peek at the envelope only when the publish is traced; untraced messages stay
-  // opaque to the daemon's send path.
-  auto msg = Message::Unmarshal(payload);
-  if (msg.ok() && msg->trace_id != 0) {
-    EmitHop(telemetry::HopKind::kWireSend, *msg);
+  // Decode the envelope only when the publish is traced; untraced messages stay
+  // opaque to the daemon's send path (the trace-id peek allocates nothing).
+  if (auto trace_id = Message::PeekTraceId(payload); trace_id.ok() && *trace_id != 0) {
+    auto msg = Message::Unmarshal(payload);
+    if (msg.ok()) {
+      EmitHop(telemetry::HopKind::kWireSend, *msg);
+    }
   }
 #endif
 }

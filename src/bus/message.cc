@@ -69,6 +69,30 @@ Result<std::string_view> Message::PeekSubject(const Bytes& b) {
   return *subject;
 }
 
+Result<uint64_t> Message::PeekTraceId(const Bytes& b) {
+  WireReader r(b);
+  auto subject = r.ReadStringView();
+  auto reply = r.ReadStringView();
+  auto type_name = r.ReadStringView();
+  auto sender = r.ReadStringView();
+  auto certified = r.ReadU64();
+  auto publisher = r.ReadU64();
+  auto hops = r.ReadU8();
+  auto via = r.ReadStringView();
+  auto trace_id = r.ReadU64();
+  auto trace_hop = r.ReadU8();
+  auto payload = r.ReadStringView();  // same varint-prefixed layout as PutBytes
+  if (!subject.ok() || !reply.ok() || !type_name.ok() || !sender.ok() || !certified.ok() ||
+      !publisher.ok() || !hops.ok() || !via.ok() || !trace_id.ok() || !trace_hop.ok() ||
+      !payload.ok()) {
+    return DataLoss("message: truncated");
+  }
+  if (!r.AtEnd()) {
+    return DataLoss("message: trailing bytes");
+  }
+  return *trace_id;
+}
+
 Message Message::ForObject(std::string subject, const DataObject& obj) {
   Message m;
   m.subject = std::move(subject);

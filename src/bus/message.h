@@ -35,6 +35,12 @@ struct Message {
   // only while `b` lives.
   static Result<std::string_view> PeekSubject(const Bytes& b);
 
+  // Reads the trace_id of a marshalled message without allocating: the strings and
+  // the payload are skipped, not copied. Validates the whole envelope like Unmarshal
+  // (truncation and trailing bytes fail), so the two agree on every input. Lets the
+  // publish path decode only the traced messages.
+  static Result<uint64_t> PeekTraceId(const Bytes& b);
+
   // Convenience: build a message carrying a marshalled data object.
   static Message ForObject(std::string subject, const DataObject& obj);
 

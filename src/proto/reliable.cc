@@ -111,13 +111,26 @@ void ReliableSender::ScheduleBatchFlush() {
   if (batch_timer_ != 0) {
     return;
   }
+  ArmBatchTimer(config_.batch_delay_us, /*deferred=*/false);
+}
+
+void ReliableSender::ArmBatchTimer(SimTime delay_us, bool deferred) {  // hotlint: allow(hot-recursion) -- re-arms via a simulator timer at most once per batch (deferred timers never re-arm)
   batch_timer_ = sim_->ScheduleAfter(
-      config_.batch_delay_us,
-      [this, alive = alive_]() {
+      delay_us,
+      [this, deferred, alive = alive_]() {
         if (!*alive) {
           return;
         }
         batch_timer_ = 0;
+        // Medium-aware flush: a frame handed to a busy medium would only queue, so the
+        // batch stays open until the medium frees and later messages ride the same
+        // frame. Defer once only: the deferred expiry flushes unconditionally, so
+        // other hosts keeping the medium busy cannot starve the batch.
+        const SimTime backlog = deferred ? 0 : socket_->BacklogUs();
+        if (backlog > 0) {
+          ArmBatchTimer(backlog, /*deferred=*/true);
+          return;
+        }
         Flush();
       },
       "proto.batch_flush");
@@ -216,6 +229,10 @@ void ReliableSender::ScheduleHeartbeat() {  // hotlint: allow(hot-recursion) -- 
 }
 
 void ReliableSender::SendHeartbeat() {
+  // Put any pending batch on the wire first: highest_seq must never cover messages a
+  // receiver cannot have heard yet (it would NAK them), and the heartbeat must not
+  // queue on the medium ahead of the batch it describes.
+  Flush();
   HeartbeatPacket pkt;
   pkt.stream_id = stream_id_;
   pkt.highest_seq = next_seq_ - 1;

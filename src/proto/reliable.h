@@ -35,7 +35,9 @@ struct ReliableConfig {
   // Batching (sender side).
   bool batching_enabled = false;
   size_t batch_max_bytes = 1380;   // flush when the packed batch would exceed this
-  SimTime batch_delay_us = 2000;   // flush at most this long after the first message
+  // Flush this long after the first message; if the sender's medium is still busy
+  // then, once more when it frees (messages arriving meanwhile join the batch).
+  SimTime batch_delay_us = 2000;
 
   // Retransmission machinery.
   size_t retain_messages = 4096;          // sender-side retransmit buffer depth
@@ -101,7 +103,9 @@ class ReliableSender {
   ReliableSender& operator=(const ReliableSender&) = delete;
 
   // Enqueues one application message for broadcast. With batching enabled, small
-  // messages may be delayed up to batch_delay_us.
+  // messages wait for a batch flush: batch_delay_us after the batch's first message,
+  // or, if the medium is busy at that deadline, the moment it frees; or sooner when
+  // the batch reaches batch_max_bytes (or a heartbeat goes out).
   Status Publish(Bytes message);
 
   // Flushes any pending batch immediately.
@@ -120,6 +124,8 @@ class ReliableSender {
   void ScheduleHeartbeat();
   void SendHeartbeat();
   void ScheduleBatchFlush();
+  // Arms the batch timer; a `deferred` timer flushes without consulting the medium.
+  void ArmBatchTimer(SimTime delay_us, bool deferred);
 
   Simulator* sim_;
   UdpSocket* socket_;

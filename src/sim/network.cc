@@ -55,6 +55,8 @@ Status UdpSocket::Broadcast(Port dst_port, Bytes payload) {
   return net_->BroadcastDatagram(d);
 }
 
+SimTime UdpSocket::BacklogUs() const { return net_->SegmentBacklogUs(host_); }
+
 Listener::~Listener() { net_->CloseListener(this); }
 
 // ---------------------------------------------------------------------------------
@@ -270,6 +272,11 @@ Network::TxTiming Network::TransmitFrame(Segment& seg, size_t wire_bytes) {
   stats_.frames_sent++;
   stats_.bytes_on_wire += wire_bytes;
   return TxTiming{finish, start - now, finish - start};
+}
+
+SimTime Network::SegmentBacklogUs(HostId host) const {
+  const Segment& seg = segments_.at(hosts_.at(host).segment);
+  return seg.busy_until > sim_->Now() ? seg.busy_until - sim_->Now() : 0;
 }
 
 SimTime Network::LocalLoopbackDelay(size_t bytes) const {

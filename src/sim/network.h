@@ -149,6 +149,13 @@ class UdpSocket {
   // the same partition group receives it (including the sender's own host).
   Status Broadcast(Port dst_port, Bytes payload);
 
+  // Medium backlog of this socket's segment: how long a frame handed to the medium
+  // now would wait before it starts serializing, i.e. the remaining occupancy
+  // (serialization plus host_cpu_us_per_frame) of frames already queued. 0 when the
+  // medium is idle. The datagram twin of Connection::BacklogUs(); the reliable
+  // sender reads it to hold a batch open while its frame could only queue.
+  SimTime BacklogUs() const;
+
   void SetHandler(Handler handler) { handler_ = std::move(handler); }
 
  private:
@@ -358,6 +365,7 @@ class Network {
   void DeliverDatagram(Datagram d, SimTime at, PendingTap tap);
   Status SendDatagram(const Datagram& d);
   Status BroadcastDatagram(const Datagram& d);
+  SimTime SegmentBacklogUs(HostId host) const;
 
   // Capture plumbing: fills a PendingTap at the send site (no-op with no taps) and
   // emits the finished record once the fate is known.

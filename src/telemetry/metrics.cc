@@ -41,7 +41,9 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
     counts_[b] += other.counts_[b];
   }
   total_ += other.total_;
-  sum_ += other.sum_;
+  // Two near-overflow-bucket sums can exceed int64: wrap explicitly (defined for
+  // unsigned) rather than overflow a signed add, which is undefined behaviour.
+  sum_ = static_cast<int64_t>(static_cast<uint64_t>(sum_) + static_cast<uint64_t>(other.sum_));
 }
 
 void LatencyHistogram::RestoreBucket(size_t b, uint64_t count) {

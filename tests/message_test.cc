@@ -61,6 +61,35 @@ TEST(MessageTest, TruncationRejected) {
   }
 }
 
+TEST(MessageTest, PeekTraceIdAgreesWithUnmarshal) {
+  Message traced;
+  traced.subject = "news.equity.gmc";
+  traced.sender = "dj-adapter";
+  traced.via = "_router:NY";
+  traced.trace_id = 0xFEEDFACEull;
+  traced.trace_hop = 2;
+  traced.payload = ToBytes("payload bytes");
+  Message untraced = traced;
+  untraced.trace_id = 0;
+  for (const Message& m : {traced, untraced}) {
+    const Bytes wire = m.Marshal();
+    auto peek = Message::PeekTraceId(wire);
+    ASSERT_TRUE(peek.ok());
+    EXPECT_EQ(*peek, m.trace_id);
+    // Every strict prefix (truncated anywhere, including inside the payload) and any
+    // trailing garbage fail both ways.
+    for (size_t cut = 0; cut < wire.size(); ++cut) {
+      Bytes truncated(wire.begin(), wire.begin() + static_cast<ptrdiff_t>(cut));
+      EXPECT_FALSE(Message::Unmarshal(truncated).ok()) << "cut=" << cut;
+      EXPECT_FALSE(Message::PeekTraceId(truncated).ok()) << "cut=" << cut;
+    }
+    Bytes trailing = wire;
+    trailing.push_back(0);
+    EXPECT_FALSE(Message::Unmarshal(trailing).ok());
+    EXPECT_FALSE(Message::PeekTraceId(trailing).ok());
+  }
+}
+
 TEST(MessageTest, ForObjectAndDecode) {
   auto story = MakeObject("story", {{"headline", Value("Chips up")},
                                     {"serial", Value(int64_t{12})}});

@@ -172,6 +172,32 @@ TEST_F(NetworkTest, SharedMediumSerializesTransmissions) {
   EXPECT_NEAR(static_cast<double>(arrivals[1] - arrivals[0]), 834.0, 2.0);
 }
 
+TEST(UdpSocketBacklogTest, TracksRemainingMediumOccupancy) {
+  Simulator sim;
+  Network net(&sim);
+  SegmentConfig slow_host;
+  slow_host.host_cpu_us_per_frame = 4300;
+  SegmentId seg = net.AddSegment(slow_host);
+  HostId a = net.AddHost("a", seg);
+  HostId b = net.AddHost("b", seg);
+  auto tx = net.OpenSocket(a, 0, nullptr);
+  auto other = net.OpenSocket(b, 0, nullptr);
+  EXPECT_EQ((*tx)->BacklogUs(), 0);
+
+  // (100+42)*8 bits / 10 Mbps = 113.6 us of serialization + 4300 us host cost.
+  ASSERT_TRUE((*tx)->Broadcast(100, Bytes(100)).ok());
+  const SimTime occupancy = 4414;
+  EXPECT_EQ((*tx)->BacklogUs(), occupancy);
+  // The medium is shared: every host on the segment sees the same backlog.
+  EXPECT_EQ((*other)->BacklogUs(), occupancy);
+  sim.RunFor(1000);
+  EXPECT_EQ((*tx)->BacklogUs(), occupancy - 1000);
+  sim.RunFor(occupancy - 1000);
+  EXPECT_EQ((*tx)->BacklogUs(), 0);
+  sim.RunFor(1000);
+  EXPECT_EQ((*tx)->BacklogUs(), 0);
+}
+
 class ConnectionTest : public NetworkTest {};
 
 TEST_F(ConnectionTest, ConnectSendReceive) {

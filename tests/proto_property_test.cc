@@ -227,5 +227,179 @@ TEST_F(ProtoDegradationTest, ManyPublishersDoNotInterfere) {
   }
 }
 
+// Batching on the paper's testbed: one publisher and 14 consumers on a LAN whose
+// hosts pay 4.3 ms of protocol-stack time per frame (the SunOS send path).
+class ProtoBatchingTest : public BusFixture {
+ protected:
+  static constexpr int kConsumers = 14;
+
+  void SetUpPaperLan() {
+    BusConfig cfg;
+    cfg.reliable.batching_enabled = true;
+    cfg.announce_subscriptions = false;
+    SegmentConfig lan;
+    lan.host_cpu_us_per_frame = 4300;
+    SetUpBus(kConsumers + 1, cfg, lan);
+    pub_ = MakeClient(0, "pub");
+    got_.resize(kConsumers);
+    for (int c = 0; c < kConsumers; ++c) {
+      subs_.push_back(MakeClient(c + 1, "sub" + std::to_string(c)));
+      std::vector<int>* got = &got_[static_cast<size_t>(c)];
+      ASSERT_TRUE(subs_.back()->Subscribe("lan.fanout", [got](const Message& m) {
+                        got->push_back(std::stoi(ToString(m.payload)));
+                      }).ok());
+    }
+    Settle(200 * kMillisecond);
+  }
+
+  // Publishes 64-byte messages "0", "1", ... at `rate` per second, each at a seeded
+  // uniform offset within its 1/rate slot (strictly periodic arrivals would
+  // phase-lock with the 100 ms heartbeat).
+  void PublishOpenLoop(int count, int rate) {
+    const SimTime slot = kSecond / rate;
+    const SimTime start = sim_.Now();
+    Rng rng(7);
+    for (int i = 0; i < count; ++i) {
+      sim_.RunUntil(start + i * slot + static_cast<SimTime>(rng.NextBelow(slot)));
+      Bytes payload = ToBytes(std::to_string(i));
+      payload.resize(64, '.');
+      ASSERT_TRUE(pub_->Publish("lan.fanout", payload).ok());
+    }
+  }
+
+  void ExpectExactlyOnceInOrder(int count) {
+    for (const std::vector<int>& got : got_) {
+      ASSERT_EQ(got.size(), static_cast<size_t>(count));
+      for (int i = 0; i < count; ++i) {
+        EXPECT_EQ(got[static_cast<size_t>(i)], i);
+      }
+    }
+  }
+
+  std::unique_ptr<BusClient> pub_;
+  std::vector<std::unique_ptr<BusClient>> subs_;
+  std::vector<std::vector<int>> got_;
+};
+
+TEST_F(ProtoBatchingTest, HeartbeatsNeverAdvertiseUnsentBatches) {
+  SetUpPaperLan();
+  PublishOpenLoop(100, 50);  // 50 msgs/s for 2 sim-seconds
+  Settle();
+  ExpectExactlyOnceInOrder(100);
+  // Loss-free medium: any NAK means a heartbeat advertised a sequence that was still
+  // sitting in the sender's batch.
+  uint64_t naks = 0, retransmits = 0, duplicates = 0;
+  for (const auto& d : daemons_) {
+    naks += d->receiver_stats().naks_sent;
+    duplicates += d->receiver_stats().duplicates_dropped;
+    retransmits += d->sender_stats().retransmits;
+  }
+  EXPECT_EQ(naks, 0u);
+  EXPECT_EQ(retransmits, 0u);
+  EXPECT_EQ(duplicates, 0u);
+}
+
+TEST_F(ProtoBatchingTest, BusyMediumGrowsBatchesAndStaysExactlyOnce) {
+  SetUpPaperLan();
+  // Latch every receiver onto the stream fault-free first (see ExactlyOnceInOrder).
+  ASSERT_TRUE(pub_->Publish("lan.fanout", ToBytes("-1")).ok());
+  Settle();
+  for (std::vector<int>& got : got_) {
+    ASSERT_EQ(got.size(), 1u);
+    got.clear();
+  }
+  FaultPlan lossy;
+  lossy.drop_prob = 0.01;
+  net_->SetFaultPlan(seg_, lossy);
+  const ReliableSenderStats before = daemons_[0]->sender_stats();
+  PublishOpenLoop(600, 600);  // 600 msgs/s offered: above one frame per message
+  Settle(10 * kSecond);
+  ExpectExactlyOnceInOrder(600);
+  const ReliableSenderStats after = daemons_[0]->sender_stats();
+  const uint64_t published = after.published - before.published;
+  const uint64_t batches = after.batches_sent - before.batches_sent;
+  EXPECT_EQ(published, 600u);
+  EXPECT_GT(batches, 0u);
+  EXPECT_LT(batches * 4, published);  // several messages ride each frame
+}
+
+// Records when host `src` handed each transmission to the medium.
+struct SendTimeTap : NetworkTap {
+  void OnFrame(const CapturedFrame& f) override {
+    if (f.src_host == src && (sent_at.empty() || f.tx_id != last_tx)) {
+      sent_at.push_back(f.sent_at);
+      last_tx = f.tx_id;
+    }
+  }
+  HostId src = kNoHost;
+  uint64_t last_tx = 0;
+  std::vector<SimTime> sent_at;
+};
+
+// A bare ReliableSender on a paper-testbed LAN; its frames go to a port nobody binds,
+// so only the tap observes them.
+class BatchFlushTimingTest : public ::testing::Test {
+ protected:
+  static constexpr Port kBusPort = 7000;
+
+  BatchFlushTimingTest() : net_(&sim_) {
+    SegmentConfig lan;
+    lan.host_cpu_us_per_frame = 4300;
+    SegmentId seg = net_.AddSegment(lan);
+    sender_host_ = net_.AddHost("sender", seg);
+    other_host_ = net_.AddHost("other", seg);
+    tap_.src = sender_host_;
+    net_.AttachTap(&tap_);
+    socket_ = net_.OpenSocket(sender_host_, kBusPort, nullptr).take();
+    config_.batching_enabled = true;
+    config_.heartbeat_interval_us = 10 * kSecond;  // keep heartbeat frames out of view
+    sender_ = std::make_unique<ReliableSender>(&sim_, socket_.get(), kBusPort, 1, config_);
+  }
+
+  Simulator sim_;
+  Network net_;
+  SendTimeTap tap_;
+  HostId sender_host_ = 0;
+  HostId other_host_ = 0;
+  ReliableConfig config_;
+  std::unique_ptr<UdpSocket> socket_;
+  std::unique_ptr<ReliableSender> sender_;
+};
+
+TEST_F(BatchFlushTimingTest, IdleMediumFlushesExactlyAtBatchDelay) {
+  sim_.RunFor(1000);
+  const SimTime published_at = sim_.Now();
+  ASSERT_TRUE(sender_->Publish(Bytes(64)).ok());
+  sim_.RunFor(50 * kMillisecond);
+  ASSERT_EQ(tap_.sent_at.size(), 1u);
+  EXPECT_EQ(tap_.sent_at[0], published_at + config_.batch_delay_us);
+}
+
+TEST_F(BatchFlushTimingTest, BusyMediumDefersFlushAtMostByTheBacklog) {
+  // Another host keeps the shared medium busy: a 1000-byte broadcast every 2 ms
+  // occupies it ~5.1 ms each, so the backlog only grows.
+  auto other = net_.OpenSocket(other_host_, 0, nullptr);
+  for (SimTime t = 500; t < 60 * kMillisecond; t += 2 * kMillisecond) {
+    sim_.ScheduleAt(t, [&other]() { ASSERT_TRUE((*other)->Broadcast(9, Bytes(1000)).ok()); });
+  }
+  const SimTime published_at = 10 * kMillisecond;
+  const SimTime deadline = published_at + config_.batch_delay_us;
+  SimTime backlog_at_deadline = -1;
+  // Scheduled before the publish arms the batch timer, so it runs first at the deadline.
+  sim_.ScheduleAt(deadline, [&]() { backlog_at_deadline = socket_->BacklogUs(); });
+  sim_.RunUntil(published_at);
+  ASSERT_TRUE(sender_->Publish(Bytes(64)).ok());
+  sim_.RunFor(config_.batch_delay_us + 1);
+  ASSERT_GT(backlog_at_deadline, 0);
+  // A message arriving while the flush is deferred rides the same frame.
+  ASSERT_TRUE(sender_->Publish(Bytes(64)).ok());
+  sim_.RunFor(300 * kMillisecond);  // the junk backlog drains; every frame lands
+
+  ASSERT_EQ(tap_.sent_at.size(), 1u);
+  EXPECT_GE(tap_.sent_at[0], deadline);
+  EXPECT_LE(tap_.sent_at[0], deadline + backlog_at_deadline);
+  EXPECT_EQ(sender_->stats().batches_sent, 1u);
+}
+
 }  // namespace
 }  // namespace ibus
