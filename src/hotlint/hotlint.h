@@ -41,7 +41,7 @@
 //                          rule name, or a `hot`/`cold` marker that attaches to
 //                          no function definition.
 //
-// Annotation grammar (trailing or full-line comments):
+// Annotations use the shared analyzer grammar (src/cxxscan/cxxscan.h):
 //
 //   // hotlint: hot                          - on or directly above a function
 //                                              definition: marks a hot root.
@@ -60,6 +60,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/cxxscan/cxxscan.h"
+
 namespace ibus::hotlint {
 
 // Rule names, exposed for the allow mechanism, the fixtures, and the docs.
@@ -77,10 +79,7 @@ inline constexpr char kRuleBadAnnotation[] = "bad-annotation";
 // Every rule an allow() may name (bad-annotation itself is not allowable).
 const std::set<std::string>& KnownRules();
 
-struct SourceFile {
-  std::string path;     // repo-relative, e.g. "src/bus/daemon.cc"
-  std::string content;  // raw bytes of the file
-};
+using SourceFile = cxxscan::SourceFile;
 
 // A direct, per-function observation made by the scanner. `rule` is one of the
 // kRule* constants; findings are only emitted for effects of *hot* functions.

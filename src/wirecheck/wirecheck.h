@@ -47,7 +47,7 @@
 //                         prior range check.
 //   bad-annotation      — a wirecheck annotation that cannot take effect.
 //
-// Annotation grammar (trailing or full-line `//` comments):
+// Annotations use the shared analyzer grammar (src/cxxscan/cxxscan.h):
 //
 //   // wirecheck: codec(<name>, version=N)   - on or directly above an Encode
 //                                              or Decode function definition;
@@ -72,6 +72,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/cxxscan/cxxscan.h"
+
 namespace ibus::wirecheck {
 
 // Rule names, exposed for the allow mechanism, the fixtures, and the docs.
@@ -90,10 +92,7 @@ inline constexpr char kRuleBadAnnotation[] = "bad-annotation";
 // Every rule an allow() may name (bad-annotation itself is not allowable).
 const std::set<std::string>& KnownRules();
 
-struct SourceFile {
-  std::string path;     // repo-relative, e.g. "src/wire/wire.cc"
-  std::string content;  // raw bytes of the file
-};
+using SourceFile = cxxscan::SourceFile;
 
 // One node of the extracted wire-op tree. Primitive kinds mirror the
 // WireWriter/WireReader API; structural kinds carry child sequences.

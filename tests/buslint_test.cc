@@ -199,6 +199,28 @@ TEST(BuslintScrubber, IgnoresCommentsAndStrings) {
   EXPECT_TRUE(vs.empty()) << Render(vs);
 }
 
+TEST(BuslintScrubber, DigitSeparatorDoesNotHideTheRestOfTheLine) {
+  // A quote inside a pp-number is a separator, not a char literal that would
+  // blank everything after it on the line.
+  auto vs = LintSource("src/sim/x.cc", "int F() { return 1'000 + rand(); }\n");
+  EXPECT_EQ(CountRule(vs, kRuleNondeterminism), 1u) << Render(vs);
+}
+
+TEST(BuslintScrubber, SeesPreprocessorLines) {
+  // buslint reads directives as code: a banned call in a macro body is flagged.
+  auto vs = LintSource("src/sim/x.cc", "#include <ctime>\n#define NOW() time(nullptr)\n");
+  ASSERT_EQ(CountRule(vs, kRuleNondeterminism), 1u) << Render(vs);
+  EXPECT_EQ(vs[0].line, 2);
+}
+
+TEST(BuslintNondeterminism, MessageNamesEveryCoreDirectory) {
+  auto vs = LintSource("src/telemetry/x.cc", "int F() { return rand(); }\n");
+  ASSERT_EQ(vs.size(), 1u) << Render(vs);
+  for (std::string_view dir : kDeterministicCore) {
+    EXPECT_NE(vs[0].message.find(dir), std::string::npos) << dir << ": " << vs[0].message;
+  }
+}
+
 TEST(BuslintScrubber, ReportsCorrectLines) {
   auto vs = LintSource("src/sim/x.cc", "int a;\nint b;\nint c = rand();\n");
   ASSERT_EQ(vs.size(), 1u);

@@ -166,6 +166,23 @@ TEST(HotlintBadAnnotation, TwinWellFormedAnnotationsAreClean) {
   EXPECT_TRUE(ds.empty()) << Render(ds);
 }
 
+TEST(HotlintScrubber, DigitSeparatorDoesNotOpenACharLiteral) {
+  // `1'000` is one number: read as a char literal running to the end of the
+  // line, the quote used to swallow the closing brace, so the hot marker below
+  // floated free and the allocation was never charged to a hot function.
+  SourceFile f;
+  f.path = "src/fix/separator.cc";
+  f.content =
+      "int Cold(int n) { return n > 1'000 ? 1 : 0; }\n"
+      "// hotlint: hot\n"
+      "void Deliver() { auto p = std::make_unique<int>(0x7F'FF); }\n"
+      "char Quote() { return L'x' + u8'y' + '\\''; }\n";
+  auto ds = Analyze(BuildProgram({f}));
+  EXPECT_EQ(CountRule(ds, kRuleBadAnnotation), 0u) << Render(ds);
+  ASSERT_EQ(CountRule(ds, kRuleAlloc), 1u) << Render(ds);
+  EXPECT_EQ(ds[0].line, 3) << Render(ds);
+}
+
 // ---------------------------------------------------------------------------------
 // Call-graph edge cases.
 // ---------------------------------------------------------------------------------

@@ -180,6 +180,24 @@ TEST(WirecheckBadAnnotation, JustifiedAllowTwinSuppressesAndIsClean) {
   EXPECT_TRUE(ds.empty()) << Render(ds);
 }
 
+TEST(WirecheckScrubber, DigitSeparatorKeepsTheNextCodecAnnotation) {
+  // `1'000` is one number; read as a char literal it swallowed the closing
+  // brace, so the codec below was parsed as part of Cold's body and dropped.
+  SourceFile f;
+  f.path = "src/fix/separator.cc";
+  f.content =
+      "int Cold(int n) { return n > 1'000 ? 1 : 0; }\n"
+      "// wirecheck: codec(sep_rec, version=0)\n"
+      "Bytes EncodeSepRec(uint64_t id) {\n"
+      "  WireWriter w;\n"
+      "  w.PutU64(id);\n"
+      "  return w.Take();\n"
+      "}\n";
+  Program p = BuildProgram({f});
+  EXPECT_EQ(CodecNames(p), std::vector<std::string>{"sep_rec"});
+  EXPECT_EQ(CountRule(Analyze(p), kRuleBadAnnotation), 0u) << Render(Analyze(p));
+}
+
 // ---------------------------------------------------------------------------------
 // Schema rendering and diff classification.
 // ---------------------------------------------------------------------------------

@@ -4,218 +4,32 @@
 #include <cctype>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "src/cxxscan/cxxscan.h"
 #include "src/subject/subject.h"
 #include "src/tdl/parser.h"
 
 namespace ibus::buslint {
 namespace {
 
-bool IsIdentChar(char c) { return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_'; }
+using cxxscan::IsIdentChar;
+using cxxscan::PrevMeaningful;
+using cxxscan::SkipSpace;
 
-// Source text with comments and literal *contents* blanked out (newlines kept, so
-// offsets and line numbers survive). String literals keep their quotes in `code`;
-// the original content is retrievable by the offset of the opening quote.
-struct Scrubbed {
-  std::string code;
-  // Offset of the opening '"' -> raw characters between the quotes.
-  std::unordered_map<size_t, std::string> literals;
-  // Opening-quote offsets of raw strings: their contents carry no C++ escapes,
-  // so they must not be run through UnescapeCpp.
-  std::unordered_set<size_t> raw_literals;
-  // Line number (1-based) -> rules allowed by a `buslint: allow(...)` comment.
-  std::unordered_map<int, std::set<std::string>> allows;
-  std::vector<size_t> line_starts;  // offset of the first char of each line
+// The scrubbed file (preprocessor lines kept: a banned call in a macro body is
+// still a banned call) plus its `buslint: allow(...)` lines. buslint takes an
+// allow() at its word; no justification is required.
+struct Scrubbed : cxxscan::Scrubbed {
+  cxxscan::AllowMap allows;
 
-  int LineOf(size_t offset) const {
-    auto it = std::upper_bound(line_starts.begin(), line_starts.end(), offset);
-    return static_cast<int>(it - line_starts.begin());
-  }
-
-  bool Allowed(int line, const char* rule) const {
-    auto it = allows.find(line);
-    return it != allows.end() &&
-           (it->second.count(rule) > 0 || it->second.count("all") > 0);
-  }
+  bool Allowed(int line, const char* rule) const { return allows.Allowed(line, rule); }
 };
 
-// Records `buslint: allow(a,b)` found in a comment spanning [line_begin, line_end].
-void RecordAllowComment(std::string_view comment, int line, Scrubbed* out) {
-  size_t at = comment.find("buslint: allow(");
-  if (at == std::string_view::npos) {
-    return;
-  }
-  size_t open = comment.find('(', at);
-  size_t close = comment.find(')', open);
-  if (close == std::string_view::npos) {
-    return;
-  }
-  std::string rules(comment.substr(open + 1, close - open - 1));
-  std::stringstream ss(rules);
-  std::string rule;
-  while (std::getline(ss, rule, ',')) {
-    rule.erase(std::remove_if(rule.begin(), rule.end(),
-                              [](char c) { return std::isspace(static_cast<unsigned char>(c)); }),
-               rule.end());
-    if (!rule.empty()) {
-      out->allows[line].insert(rule);
-    }
-  }
-}
-
-Scrubbed Scrub(std::string_view src) {
-  Scrubbed out;
-  out.code.assign(src.size(), ' ');
-  out.line_starts.push_back(0);
-  size_t i = 0;
-  auto copy_nl = [&](size_t pos) {
-    out.code[pos] = '\n';
-    out.line_starts.push_back(pos + 1);
-  };
-  while (i < src.size()) {
-    char c = src[i];
-    if (c == '\n') {
-      copy_nl(i);
-      ++i;
-      continue;
-    }
-    if (c == '/' && i + 1 < src.size() && src[i + 1] == '/') {
-      size_t end = src.find('\n', i);
-      if (end == std::string_view::npos) {
-        end = src.size();
-      }
-      RecordAllowComment(src.substr(i, end - i),
-                        static_cast<int>(out.line_starts.size()), &out);
-      i = end;  // newline handled by the main loop
-      continue;
-    }
-    if (c == '/' && i + 1 < src.size() && src[i + 1] == '*') {
-      size_t end = src.find("*/", i + 2);
-      if (end == std::string_view::npos) {
-        end = src.size();
-      } else {
-        end += 2;
-      }
-      for (size_t j = i; j < end; ++j) {
-        if (src[j] == '\n') {
-          copy_nl(j);
-        }
-      }
-      i = end;
-      continue;
-    }
-    if (c == '"' || c == '\'') {
-      // Raw strings: R"delim( ... )delim".
-      if (c == '"' && i > 0 && src[i - 1] == 'R') {
-        size_t paren = src.find('(', i);
-        if (paren != std::string_view::npos) {
-          std::string delim(src.substr(i + 1, paren - i - 1));
-          std::string closer = ")" + delim + "\"";
-          size_t end = src.find(closer, paren + 1);
-          if (end != std::string_view::npos) {
-            out.code[i] = '"';
-            out.literals[i] = std::string(src.substr(paren + 1, end - paren - 1));
-            out.raw_literals.insert(i);
-            size_t close_q = end + closer.size() - 1;
-            out.code[close_q] = '"';
-            for (size_t j = i; j < close_q; ++j) {
-              if (src[j] == '\n') {
-                copy_nl(j);
-              }
-            }
-            i = close_q + 1;
-            continue;
-          }
-        }
-      }
-      char quote = c;
-      size_t start = i;
-      ++i;
-      std::string content;
-      while (i < src.size() && src[i] != quote) {
-        if (src[i] == '\\' && i + 1 < src.size()) {
-          content.push_back(src[i]);
-          content.push_back(src[i + 1]);
-          i += 2;
-          continue;
-        }
-        if (src[i] == '\n') {  // unterminated literal; bail at line end
-          break;
-        }
-        content.push_back(src[i]);
-        ++i;
-      }
-      out.code[start] = quote;
-      if (i < src.size() && src[i] == quote) {
-        out.code[i] = quote;
-        ++i;
-      }
-      if (quote == '"') {
-        out.literals[start] = std::move(content);
-      }
-      continue;
-    }
-    out.code[i] = c;
-    ++i;
-  }
-  return out;
-}
-
-size_t SkipSpace(const std::string& s, size_t i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])) != 0) {
-    ++i;
-  }
-  return i;
-}
-
-// Walks backwards over whitespace; returns the offset of the previous meaningful
-// char, or npos at start of file.
-size_t PrevMeaningful(const std::string& s, size_t i) {
-  while (i > 0) {
-    --i;
-    if (std::isspace(static_cast<unsigned char>(s[i])) == 0) {
-      return i;
-    }
-  }
-  return std::string::npos;
-}
-
-// Offset just past the matching ')' for the '(' at `open`, or npos.
-size_t MatchParen(const std::string& s, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < s.size(); ++i) {
-    if (s[i] == '(') {
-      ++depth;
-    } else if (s[i] == ')') {
-      if (--depth == 0) {
-        return i + 1;
-      }
-    }
-  }
-  return std::string::npos;
-}
-
-// Yields every identifier token in `code` as (offset, text).
 template <typename Fn>
 void ForEachIdentifier(const std::string& code, Fn&& fn) {
-  size_t i = 0;
-  while (i < code.size()) {
-    if (IsIdentChar(code[i]) && (i == 0 || !IsIdentChar(code[i - 1])) &&
-        std::isdigit(static_cast<unsigned char>(code[i])) == 0) {
-      size_t j = i;
-      while (j < code.size() && IsIdentChar(code[j])) {
-        ++j;
-      }
-      fn(i, std::string_view(code).substr(i, j - i));
-      i = j;
-      continue;
-    }
-    ++i;
-  }
+  cxxscan::ForEachIdentifier(code, 0, code.size(), fn);
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
@@ -227,10 +41,12 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 // ---------------------------------------------------------------------------------
 
 bool PathIsDeterministicCore(const std::string& rel_path) {
-  return StartsWith(rel_path, "src/sim/") || StartsWith(rel_path, "src/bus/") ||
-         StartsWith(rel_path, "src/router/") || StartsWith(rel_path, "src/capture/") ||
-         StartsWith(rel_path, "src/journal/") || StartsWith(rel_path, "src/prof/") ||
-         StartsWith(rel_path, "src/telemetry/");
+  for (std::string_view dir : kDeterministicCore) {
+    if (StartsWith(rel_path, std::string(dir) + "/")) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void CheckNondeterminism(const std::string& rel_path, const Scrubbed& s,
@@ -262,11 +78,13 @@ void CheckNondeterminism(const std::string& rel_path, const Scrubbed& s,
     if (s.Allowed(line, kRuleNondeterminism)) {
       return;
     }
+    std::string dirs;
+    for (std::string_view dir : kDeterministicCore) {
+      dirs += (dirs.empty() ? "" : ", ") + std::string(dir);
+    }
     out->push_back({rel_path, line, kRuleNondeterminism,
-                    "'" + std::string(ident) +
-                        "' in deterministic core (src/sim, src/bus, src/router, "
-                        "src/capture, src/journal, src/prof must use Simulator time "
-                        "and seeded ibus::Rng only)"});
+                    "'" + std::string(ident) + "' in deterministic core (" + dirs +
+                        " must use Simulator time and seeded ibus::Rng only)"});
   });
 }
 
@@ -411,7 +229,7 @@ void CheckDecodeChecked(const std::string& rel_path, const Scrubbed& s,
     if (!statement_start) {
       return;  // assigned, returned, passed, or (void)-discarded
     }
-    size_t end = MatchParen(s.code, open);
+    size_t end = cxxscan::MatchParen(s.code, open);
     if (end == std::string::npos) {
       return;
     }
@@ -606,7 +424,8 @@ std::string Violation::ToString() const {
 }
 
 std::vector<Violation> LintSource(const std::string& rel_path, std::string_view content) {
-  Scrubbed s = Scrub(content);
+  Scrubbed s{cxxscan::Scrub(content), {}};
+  s.allows = cxxscan::CollectAllows(cxxscan::ParseAnnotations(s, "buslint"), false);
   std::vector<Violation> out;
   CheckNondeterminism(rel_path, s, &out);
   CheckSubjectLiterals(rel_path, s, &out);

@@ -2,10 +2,10 @@
 //
 // The rules encode invariants that generic compiler warnings cannot see:
 //
-//   nondeterminism  — no wall-clock / PRNG / environment primitives under
-//                     src/sim, src/bus, src/router (simulated time and seeded
-//                     Rng only; this is what keeps Fig 5-8 reproductions and
-//                     sim_replay_check trustworthy).
+//   nondeterminism  — no wall-clock / PRNG / environment primitives under the
+//                     kDeterministicCore directories below (simulated time and
+//                     seeded Rng only; this is what keeps Fig 5-8 reproductions
+//                     and sim_replay_check trustworthy).
 //   subject-literal — subject/pattern string literals passed to Publish*/
 //                     Subscribe* must parse under the real subject grammar
 //                     (validated by linking src/subject, not by regex).
@@ -28,16 +28,25 @@
 //                     src/tdl). A typo'd embedded script otherwise survives
 //                     until that code path runs.
 //
-// Any line can opt out of a rule with a trailing comment:
+// Any line can opt out of a rule with a trailing comment (the shared analyzer
+// annotation grammar, src/cxxscan/cxxscan.h; buslint needs no justification):
 //   // buslint: allow(rule-name)
 #ifndef TOOLS_BUSLINT_BUSLINT_H_
 #define TOOLS_BUSLINT_BUSLINT_H_
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace ibus::buslint {
+
+// The deterministic core: the nondeterminism rule's scope and the list its
+// message names. The capture, journal, profiler, and stats planes are in it
+// because their record hashes feed the replay gate.
+inline constexpr std::array<std::string_view, 7> kDeterministicCore = {
+    "src/sim",     "src/bus",  "src/router",   "src/capture",
+    "src/journal", "src/prof", "src/telemetry"};
 
 struct Violation {
   std::string file;

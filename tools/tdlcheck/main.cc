@@ -8,12 +8,11 @@
 // change, 2 usage or I/O error.
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/cxxscan/files.h"
 #include "src/tdl/parser.h"
 #include "src/tdlcheck/tdlcheck.h"
 
@@ -21,21 +20,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-bool ReadFile(const fs::path& p, std::string* out) {
-  std::ifstream in(p, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
-bool IsCppSource(const fs::path& p) {
-  const std::string ext = p.extension().string();
-  return ext == ".h" || ext == ".cc" || ext == ".cpp" || ext == ".hpp";
-}
+using ibus::cxxscan::ReadFile;
 
 // One R"tdl(...)tdl" block found in a C++ source.
 struct EmbeddedScript {
@@ -45,112 +30,21 @@ struct EmbeddedScript {
 
 // Extracts every R"tdl( ... )tdl" raw string. The "tdl" delimiter is the repo
 // convention for embedded scripts (examples/tdlsh.cpp); generic raw strings are
-// not scanned because arbitrary C++ string content is rarely TDL. The scan
-// skips comments and ordinary string literals, so a file *talking about* the
-// R"tdl()tdl" convention (this one, say) is not mistaken for shipping a script.
+// not scanned because arbitrary C++ string content is rarely TDL. The shared
+// scrubber sets comments and ordinary string literals aside first, so a file
+// *talking about* the R"tdl()tdl" convention (this one, say) is not mistaken
+// for shipping a script.
 std::vector<EmbeddedScript> ExtractEmbedded(const std::string& source) {
+  ibus::cxxscan::Scrubbed s = ibus::cxxscan::Scrub(source);
+  std::vector<size_t> quotes(s.raw_literals.begin(), s.raw_literals.end());
+  std::sort(quotes.begin(), quotes.end());
   std::vector<EmbeddedScript> out;
-  constexpr std::string_view kOpen = "R\"tdl(";
-  constexpr std::string_view kClose = ")tdl\"";
-  const size_t n = source.size();
-  int line = 1;
-  size_t i = 0;
-  while (i < n) {
-    char c = source[i];
-    if (c == '\n') {
-      ++line;
-      ++i;
-      continue;
+  for (size_t q : quotes) {
+    if (source.compare(q + 1, 4, "tdl(") == 0) {
+      out.push_back({s.literals.at(q), s.LineOf(q)});
     }
-    if (c == '/' && i + 1 < n && source[i + 1] == '/') {
-      while (i < n && source[i] != '\n') {
-        ++i;
-      }
-      continue;
-    }
-    if (c == '/' && i + 1 < n && source[i + 1] == '*') {
-      i += 2;
-      while (i + 1 < n && !(source[i] == '*' && source[i + 1] == '/')) {
-        if (source[i] == '\n') {
-          ++line;
-        }
-        ++i;
-      }
-      i = i + 1 < n ? i + 2 : n;
-      continue;
-    }
-    if (c == 'R' && source.compare(i, kOpen.size(), kOpen.data(), kOpen.size()) == 0) {
-      size_t body = i + kOpen.size();
-      size_t close = source.find(kClose.data(), body, kClose.size());
-      if (close == std::string::npos) {
-        break;
-      }
-      EmbeddedScript s;
-      s.content = source.substr(body, close - body);
-      s.start_line = line;
-      out.push_back(std::move(s));
-      line += static_cast<int>(std::count(source.begin() + static_cast<long>(body),
-                                          source.begin() + static_cast<long>(close), '\n'));
-      i = close + kClose.size();
-      continue;
-    }
-    if (c == 'R' && i + 1 < n && source[i + 1] == '"') {
-      // Raw string with some other delimiter: skip it whole.
-      size_t paren = source.find('(', i + 2);
-      if (paren == std::string::npos) {
-        break;
-      }
-      std::string closer = ")" + source.substr(i + 2, paren - i - 2) + "\"";
-      size_t end = source.find(closer, paren + 1);
-      if (end == std::string::npos) {
-        break;
-      }
-      end += closer.size();
-      line += static_cast<int>(std::count(source.begin() + static_cast<long>(i),
-                                          source.begin() + static_cast<long>(end), '\n'));
-      i = end;
-      continue;
-    }
-    if (c == '"' || c == '\'') {
-      char quote = c;
-      ++i;
-      while (i < n && source[i] != quote && source[i] != '\n') {
-        i += source[i] == '\\' ? 2 : 1;
-      }
-      if (i < n && source[i] == quote) {
-        ++i;
-      }
-      continue;
-    }
-    ++i;
   }
   return out;
-}
-
-std::vector<fs::path> Collect(const fs::path& root, const std::vector<std::string>& targets,
-                              bool embedded, bool* io_error) {
-  std::vector<fs::path> files;
-  for (const std::string& t : targets) {
-    fs::path p = root / t;
-    std::error_code ec;
-    if (fs::is_directory(p, ec)) {
-      for (const auto& entry : fs::recursive_directory_iterator(p, ec)) {
-        if (!entry.is_regular_file()) {
-          continue;
-        }
-        if (embedded ? IsCppSource(entry.path()) : entry.path().extension() == ".tdl") {
-          files.push_back(entry.path());
-        }
-      }
-    } else if (fs::is_regular_file(p, ec)) {
-      files.push_back(p);
-    } else {
-      std::cerr << "tdlcheck: no such path: " << p.string() << "\n";
-      *io_error = true;
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
 }
 
 int RunCompat(const std::string& old_path, const std::string& new_path) {
@@ -228,9 +122,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bool io_error = false;
-  std::vector<fs::path> files = Collect(root, targets, embedded, &io_error);
-  if (io_error) {
+  std::vector<fs::path> missing;
+  std::vector<fs::path> files = ibus::cxxscan::CollectFiles(
+      root, targets,
+      [&](const fs::path& p) {
+        return embedded ? ibus::cxxscan::IsCppSource(p) : p.extension() == ".tdl";
+      },
+      &missing);
+  for (const fs::path& p : missing) {
+    std::cerr << "tdlcheck: no such path: " << p.string() << "\n";
+  }
+  if (!missing.empty()) {
     return 2;
   }
   size_t diagnostics = 0;
