@@ -11,6 +11,7 @@
 #include <string>
 
 #include "src/bus/message.h"
+#include "src/proto/packets.h"
 #include "src/telemetry/busstat.h"
 #include "src/wire/wire.h"
 #include "src/telemetry/metrics.h"
@@ -52,6 +53,41 @@ int main(int argc, char** argv) {
     ibus::Message m;
     m.subject = "a";
     WriteSeed(root / "message_unmarshal", "message_minimal", m.Marshal());
+  }
+
+  // Whole bus-port frames, one per transport packet type.
+  {
+    ibus::DataPacket p;
+    p.stream_id = 3;
+    p.seq = 11;
+    p.frag_index = 1;
+    p.frag_count = 5;
+    p.chunk = {1, 2, 3, 4, 5};
+    WriteSeed(root / "proto_packet", "data_fragment",
+              ibus::FrameMessage(ibus::kPktData, p.Marshal()));
+  }
+  {
+    ibus::BatchPacket p;
+    p.stream_id = 3;
+    p.first_seq = 20;
+    p.messages = {ibus::Bytes{1, 2}, ibus::Bytes{3, 4, 5}};
+    WriteSeed(root / "proto_packet", "batch",
+              ibus::FrameMessage(ibus::kPktBatch, p.Marshal()));
+  }
+  {
+    ibus::HeartbeatPacket p;
+    p.stream_id = 3;
+    p.highest_seq = 40;
+    p.lowest_retained = 12;
+    WriteSeed(root / "proto_packet", "heartbeat",
+              ibus::FrameMessage(ibus::kPktHeartbeat, p.Marshal()));
+  }
+  {
+    ibus::NakPacket p;
+    p.stream_id = 3;
+    p.missing = {{7, {1, 3}}, {9, {}}, {10, {0, 300}}};
+    WriteSeed(root / "proto_packet", "nak_fragments",
+              ibus::FrameMessage(ibus::kPktNak, p.Marshal()));
   }
 
   {

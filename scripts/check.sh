@@ -58,14 +58,14 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -L wirecheck
 echo "== busbench smoke (all four workloads at 2% scale + traced pass + self-test)"
 python3 busbench/run.py --smoke
 
-# Optional fuzz smoke: IB_FUZZ=ON scripts/check.sh spends ~30 s fuzzing the three
+# Optional fuzz smoke: IB_FUZZ=ON scripts/check.sh spends ~40 s fuzzing the four
 # frontline decoders (libFuzzer under clang; deterministic corpus replay on GCC).
 if [[ "${IB_FUZZ:-OFF}" == "ON" ]]; then
-  echo "== fuzz smoke (IB_FUZZ=ON: 3 x 10 s over frame/message/statseries decoders)"
+  echo "== fuzz smoke (IB_FUZZ=ON: 4 x 10 s over frame/proto packet/message/statseries decoders)"
   cmake -B "${BUILD_DIR}" -S . -DIB_FUZZ=ON
   cmake --build "${BUILD_DIR}" -j "${JOBS}" \
-    --target fuzz_parse_frame fuzz_message_unmarshal fuzz_statseries_decode
-  for t in parse_frame message_unmarshal statseries_decode; do
+    --target fuzz_parse_frame fuzz_proto_packet fuzz_message_unmarshal fuzz_statseries_decode
+  for t in parse_frame proto_packet message_unmarshal statseries_decode; do
     "./${BUILD_DIR}/fuzz/fuzz_${t}" -max_total_time=10 "fuzz/corpus/${t}"
   done
 fi

@@ -167,6 +167,17 @@ std::string FrameKindName(uint8_t frame_type) {
   }
 }
 
+std::string RenderNakFragments(const std::vector<uint16_t>& frags) {
+  if (frags.empty()) {
+    return "";
+  }
+  std::string out = "{";
+  for (size_t i = 0; i < frags.size(); ++i) {
+    out += (i ? "," : "") + U(frags[i]);
+  }
+  return out + "}";
+}
+
 Dissection DissectFrame(const Bytes& frame_bytes) {
   Dissection d;
   auto frame = ParseFrame(frame_bytes);
@@ -242,12 +253,12 @@ Dissection DissectFrame(const Bytes& frame_bytes) {
       if (pkt.ok()) {
         d.stream_id = pkt->stream_id;
         d.nak_missing = pkt->missing;
-        std::string missing;
-        for (uint64_t s : pkt->missing) {
+        std::string missing;  // e.g. missing=[7{1,3},9]
+        for (const NakEntry& e : pkt->missing) {
           if (!missing.empty()) {
             missing += ",";
           }
-          missing += U(s);
+          missing += U(e.seq) + RenderNakFragments(e.frags);
         }
         d.root.children.push_back(
             Leaf("nak: stream=" + U(pkt->stream_id) + " missing=[" + missing + "]"));

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/proto/packets.h"
 
 namespace ibus::capture {
 
@@ -33,7 +34,7 @@ struct Dissection {
   std::vector<uint64_t> seqs;  // sequences carried (batch: first..first+n-1)
   uint16_t frag_index = 0;
   uint16_t frag_count = 1;
-  std::vector<uint64_t> nak_missing;  // sequences a NAK asks to retransmit
+  std::vector<NakEntry> nak_missing;  // what a NAK asks to retransmit
 
   // Message envelopes found inside the frame (data frag 0, batch, client
   // message/deliver, router link message).
@@ -54,6 +55,9 @@ Dissection DissectFrame(const Bytes& frame_bytes);
 // Cheap subject extraction for capture-time filtering: returns the subjects the
 // full dissector would report, without building the tree.
 std::vector<std::string> PeekSubjects(const Bytes& frame_bytes);
+
+// The fragments a NAK entry names, in braces ("{1,3}"); "" for the whole message.
+std::string RenderNakFragments(const std::vector<uint16_t>& frags);
 
 // Renders the tree, one node per line, two-space indentation per depth.
 std::string RenderTree(const DissectNode& node);

@@ -58,11 +58,11 @@ ReassemblyReport Reassemble(const std::vector<CapturedFrame>& frames) {
   });
 
   // Per (stream, seq, frag): the first tx_id is the original; later distinct
-  // tx_ids are retransmissions. Per (stream, seq): drops not yet attributed to a
-  // retransmit.
+  // tx_ids are retransmissions; drops not yet attributed to a retransmit (repair is
+  // per fragment, so a retransmit repairs only its own fragment's drops).
   std::map<std::tuple<uint64_t, uint64_t, uint16_t>, uint64_t> first_tx;
   std::map<std::tuple<uint64_t, uint64_t, uint16_t>, std::set<uint64_t>> seen_tx;
-  std::map<std::pair<uint64_t, uint64_t>, std::vector<uint64_t>> pending_drops;
+  std::map<std::tuple<uint64_t, uint64_t, uint16_t>, std::vector<uint64_t>> pending_drops;
   // Per (stream, dst, seq): delivered fragments -> completion detection.
   struct FragState {
     std::map<uint16_t, SimTime> delivered;  // frag_index -> time
@@ -82,11 +82,11 @@ ReassemblyReport Reassemble(const std::vector<CapturedFrame>& frames) {
     }
     if (d.kind == "nak") {
       r.nak_frames++;
-      for (uint64_t missing : d.nak_missing) {
-        SeqTimeline& t = r.seqs[{d.stream_id, missing}];
+      for (const NakEntry& missing : d.nak_missing) {
+        SeqTimeline& t = r.seqs[{d.stream_id, missing.seq}];
         t.stream_id = d.stream_id;
-        t.seq = missing;
-        t.nak_indices.push_back(f.index);
+        t.seq = missing.seq;
+        t.naks.push_back({f.index, missing.frags});
       }
       continue;
     }
@@ -112,7 +112,7 @@ ReassemblyReport Reassemble(const std::vector<CapturedFrame>& frames) {
             t.retransmitted = true;
             r.retransmit_tx_ids.insert(f.tx_id);
             // This retransmission repairs the drops seen since the last one.
-            auto& pend = pending_drops[seq_key];
+            auto& pend = pending_drops[frag_key];
             t.caused_by_drops.insert(t.caused_by_drops.end(), pend.begin(),
                                      pend.end());
             pend.clear();
@@ -136,7 +136,7 @@ ReassemblyReport Reassemble(const std::vector<CapturedFrame>& frames) {
       if (IsDropFate(f.fate)) {
         t.drops++;
         r.total_drops++;
-        pending_drops[seq_key].push_back(f.index);
+        pending_drops[frag_key].push_back(f.index);
       }
       if (f.fate == FrameFate::kDuplicated) {
         t.dup_deliveries++;
@@ -242,7 +242,7 @@ std::string RenderReassemblyText(const ReassemblyReport& r) {
          " naks=" + std::to_string(r.nak_frames) + "\n";
   for (const auto& [key, t] : r.seqs) {
     if (!t.retransmitted && t.drops == 0 && t.dup_deliveries == 0 &&
-        t.nak_indices.empty()) {
+        t.naks.empty()) {
       continue;  // clean seqs stay silent; the summary line carries the count
     }
     out += "  stream=" + std::to_string(t.stream_id) + " seq=" +
@@ -251,10 +251,12 @@ std::string RenderReassemblyText(const ReassemblyReport& r) {
     if (t.retransmitted) {
       out += " RETRANSMITTED";
     }
-    if (!t.nak_indices.empty()) {
+    if (!t.naks.empty()) {
+      // Capture index of each NAK, then the fragments it named: naks=[139,150{1,3}].
       out += " naks=[";
-      for (size_t i = 0; i < t.nak_indices.size(); ++i) {
-        out += (i ? "," : "") + std::to_string(t.nak_indices[i]);
+      for (size_t i = 0; i < t.naks.size(); ++i) {
+        out += (i ? "," : "") + std::to_string(t.naks[i].capture_index) +
+               RenderNakFragments(t.naks[i].frags);
       }
       out += "]";
     }

@@ -30,6 +30,13 @@ struct SeqAttempt {
   bool retransmit = false;  // a later tx of an already-transmitted seq
 };
 
+// One NAK that asked for a seq: its capture index and the fragments it named
+// (empty: the whole message).
+struct NakRequest {
+  uint64_t capture_index = 0;
+  std::vector<uint16_t> frags;
+};
+
 // Per-sender sequence timeline entry.
 struct SeqTimeline {
   uint64_t stream_id = 0;
@@ -39,9 +46,9 @@ struct SeqTimeline {
   uint32_t drops = 0;                  // attempts lost (fault/partition/...)
   uint32_t dup_deliveries = 0;         // fault-made duplicate deliveries
   bool retransmitted = false;
-  std::vector<uint64_t> nak_indices;   // capture indices of NAKs requesting it
+  std::vector<NakRequest> naks;        // NAKs requesting it, in send order
   // Drop records whose loss this seq's retransmissions repaired: for each
-  // retransmit tx, the dropped attempts of earlier txs of the same seq.
+  // retransmit tx, the dropped attempts of earlier txs of the same fragment.
   std::vector<uint64_t> caused_by_drops;
 };
 

@@ -105,21 +105,30 @@ Result<HeartbeatPacket> HeartbeatPacket::Unmarshal(const Bytes& payload) {
   return p;
 }
 
-// wirecheck: codec(nak_packet, version=0)
+// wirecheck: codec(nak_packet, version=1)
 Bytes NakPacket::Marshal() const {  // hotlint: allow(hot-by-value) -- serialization boundary: NRVO into the send buffer
   WireWriter w;
+  w.PutU8(kNakVersion);
   w.PutU64(stream_id);
   w.PutVarint(missing.size());
-  for (uint64_t s : missing) {
-    w.PutU64(s);
+  for (const NakEntry& e : missing) {
+    w.PutU64(e.seq);
+    w.PutVarint(e.frags.size());
+    for (uint16_t f : e.frags) {
+      w.PutVarint(f);
+    }
   }
   return w.Take();
 }
 
-// wirecheck: codec(nak_packet, version=0)
+// wirecheck: codec(nak_packet, version=1)
 Result<NakPacket> NakPacket::Unmarshal(const Bytes& payload) {
   WireReader r(payload);
   NakPacket p;
+  auto version = r.ReadU8();
+  if (!version.ok() || *version != kNakVersion) {
+    return DataLoss("nak packet: truncated or unknown version");
+  }
   auto stream = r.ReadU64();
   auto count = r.ReadVarint();
   if (!stream.ok() || !count.ok()) {
@@ -131,11 +140,27 @@ Result<NakPacket> NakPacket::Unmarshal(const Bytes& payload) {
   }
   p.missing.reserve(*count);
   for (uint64_t i = 0; i < *count; ++i) {
-    auto s = r.ReadU64();
-    if (!s.ok()) {
-      return s.status();
+    auto seq = r.ReadU64();
+    auto n = r.ReadVarint();
+    if (!seq.ok() || !n.ok()) {
+      return DataLoss("nak packet: truncated entry");
     }
-    p.missing.push_back(*s);
+    if (*n > r.remaining()) {
+      return DataLoss("nak packet: implausible fragment count");
+    }
+    NakEntry& e = p.missing.emplace_back();
+    e.seq = *seq;
+    e.frags.reserve(*n);
+    for (uint64_t j = 0; j < *n; ++j) {
+      auto f = r.ReadVarint();
+      if (!f.ok()) {
+        return f.status();
+      }
+      if (*f > 0xFFFF) {
+        return DataLoss("nak packet: fragment index out of range");
+      }
+      e.frags.push_back(static_cast<uint16_t>(*f));
+    }
   }
   if (!r.AtEnd()) {
     return DataLoss("nak packet: trailing bytes");

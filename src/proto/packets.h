@@ -17,7 +17,7 @@ enum PacketType : uint8_t {
   kPktData = 1,       // one (possibly fragmented) application message
   kPktBatch = 2,      // several small messages packed into one frame
   kPktHeartbeat = 3,  // sender liveness + tail-loss detection
-  kPktNak = 4,        // receiver requests retransmission of missing sequences
+  kPktNak = 4,        // receiver requests retransmission of missing fragments
   // Bus/daemon control plane (defined in src/bus but allocated here to keep the
   // numbering space in one place).
   kPktClientRegister = 16,
@@ -58,9 +58,20 @@ struct HeartbeatPacket {
   static Result<HeartbeatPacket> Unmarshal(const Bytes& payload);
 };
 
+// One message a NAK asks for. `frags` names its missing fragment indices; empty
+// means the whole message (the receiver holds none of its fragments, so it cannot
+// know the fragment count).
+struct NakEntry {
+  uint64_t seq = 0;
+  std::vector<uint16_t> frags;
+};
+
+// Leading byte of every NAK; version 1 introduced per-fragment entries.
+inline constexpr uint8_t kNakVersion = 1;
+
 struct NakPacket {
   uint64_t stream_id = 0;
-  std::vector<uint64_t> missing;
+  std::vector<NakEntry> missing;
 
   Bytes Marshal() const;
   static Result<NakPacket> Unmarshal(const Bytes& payload);

@@ -136,25 +136,18 @@ void ReliableSender::ArmBatchTimer(SimTime delay_us, bool deferred) {  // hotlin
       "proto.batch_flush");
 }
 
+size_t ReliableSender::FragmentCount(const Bytes& message) const {
+  return message.empty() ? 1 : (message.size() + config_.chunk_size - 1) / config_.chunk_size;
+}
+
 Status ReliableSender::SendMessageAsPackets(uint64_t seq, const Bytes& message) {
-  const size_t chunk_size = config_.chunk_size;
-  const size_t frag_count = message.empty() ? 1 : (message.size() + chunk_size - 1) / chunk_size;
+  const size_t frag_count = FragmentCount(message);
   if (frag_count > 0xFFFF) {
     return InvalidArgument("message too large to fragment");
   }
   Status last;
   for (size_t i = 0; i < frag_count; ++i) {
-    DataPacket pkt;
-    pkt.stream_id = stream_id_;
-    pkt.seq = seq;
-    pkt.frag_index = static_cast<uint16_t>(i);
-    pkt.frag_count = static_cast<uint16_t>(frag_count);
-    size_t begin = i * chunk_size;
-    size_t end = std::min(message.size(), begin + chunk_size);
-    pkt.chunk = Bytes(message.begin() + static_cast<ptrdiff_t>(begin),
-                      message.begin() + static_cast<ptrdiff_t>(end));
-    Status s = socket_->Broadcast(dst_port_, FrameMessage(kPktData, pkt.Marshal()));
-    packets_sent_->Inc();
+    Status s = SendFragment(seq, message, i, frag_count);
     if (!s.ok()) {
       last = s;
     }
@@ -162,12 +155,30 @@ Status ReliableSender::SendMessageAsPackets(uint64_t seq, const Bytes& message) 
   return last;
 }
 
+Status ReliableSender::SendFragment(uint64_t seq, const Bytes& message, size_t index,
+                                    size_t frag_count) {
+  DataPacket pkt;
+  pkt.stream_id = stream_id_;
+  pkt.seq = seq;
+  pkt.frag_index = static_cast<uint16_t>(index);
+  pkt.frag_count = static_cast<uint16_t>(frag_count);
+  size_t begin = index * config_.chunk_size;
+  size_t end = std::min(message.size(), begin + config_.chunk_size);
+  pkt.chunk = Bytes(message.begin() + static_cast<ptrdiff_t>(begin),
+                    message.begin() + static_cast<ptrdiff_t>(end));
+  Status s = socket_->Broadcast(dst_port_, FrameMessage(kPktData, pkt.Marshal()));
+  packets_sent_->Inc();
+  return s;
+}
+
 void ReliableSender::Retain(uint64_t seq, Bytes message) {
   retained_.emplace_back(seq, std::move(message));  // hotlint: allow(hot-container-growth) -- retransmit retention window, trimmed as peers acknowledge
   while (retained_.size() > config_.retain_messages) {
-    last_retransmit_.erase(retained_.front().first);
     retained_.pop_front();
   }
+  // Messages no longer retained can never be repaired again.
+  const uint64_t lowest = retained_.empty() ? next_seq_ : retained_.front().first;
+  repaired_until_.erase(repaired_until_.begin(), repaired_until_.lower_bound({lowest, 0}));
   retained_depth_.Set(static_cast<int64_t>(retained_.size()));
 }
 
@@ -180,25 +191,46 @@ void ReliableSender::HandleNak(const NakPacket& nak, HostId /*from_host*/,
   }
   const uint64_t lowest = retained_.front().first;
   bool aged_out = false;
-  for (uint64_t seq : nak.missing) {
+  for (const NakEntry& entry : nak.missing) {
+    const uint64_t seq = entry.seq;
     if (seq < lowest || seq >= lowest + retained_.size()) {
       aged_out = aged_out || seq < lowest;
       continue;  // aged out of the retransmit buffer; receiver will declare a gap
     }
-    auto it = last_retransmit_.find(seq);
-    if (it != last_retransmit_.end() &&
-        sim_->Now() - it->second < config_.retransmit_min_gap_us) {
-      continue;  // another receiver just triggered this retransmit
-    }
-    last_retransmit_[seq] = sim_->Now();
     const Bytes& message = retained_[seq - lowest].second;
-    // Rebroadcast so every receiver missing it recovers from one retransmission.
-    SendMessageAsPackets(seq, message);
+    const size_t frag_count = FragmentCount(message);
+    if (frag_count > 0xFFFF) {
+      continue;  // never sent (Publish refused to fragment it)
+    }
+    // An entry naming no fragments asks for all of them.
+    const size_t asked = entry.frags.empty() ? frag_count : entry.frags.size();
+    size_t repaired = 0;
+    for (size_t k = 0; k < asked; ++k) {
+      const size_t index = entry.frags.empty() ? k : entry.frags[k];
+      if (index >= frag_count) {
+        continue;
+      }
+      auto [it, fresh] =
+          repaired_until_.try_emplace({seq, static_cast<uint16_t>(index)}, 0);
+      if (!fresh && sim_->Now() - it->second < config_.retransmit_min_gap_us) {
+        continue;  // a repair of this fragment is still queued or just left the medium
+      }
+      // Rebroadcast so every receiver missing it recovers from one retransmission.
+      SendFragment(seq, message, index, frag_count);
+      // The backlog now ends with this repair: the rate limit counts from when it
+      // leaves the medium, not from when it was queued.
+      it->second = sim_->Now() + socket_->BacklogUs();
+      ++repaired;
+    }
+    if (repaired == 0) {
+      continue;
+    }
     retransmits_->Inc();
     if (recorder_ != nullptr) {
       recorder_->Record(sim_->Now(), telemetry::FlightEventKind::kRetransmit, "",
                         "stream=" + std::to_string(stream_id_) +  // hotlint: allow(hot-string) -- loss-recovery telemetry detail: NAKs are the exception path
-                            " seq=" + std::to_string(seq));  // hotlint: allow(hot-string) -- loss-recovery telemetry detail: NAKs are the exception path
+                            " seq=" + std::to_string(seq) +  // hotlint: allow(hot-string) -- loss-recovery telemetry detail: NAKs are the exception path
+                            " frags=" + std::to_string(repaired));  // hotlint: allow(hot-string) -- loss-recovery telemetry detail: NAKs are the exception path
     }
   }
   if (aged_out) {
@@ -497,24 +529,48 @@ void ReliableReceiver::NakScan(uint64_t stream_id) {  // hotlint: allow(hot-recu
     s.nak_scheduled = false;
     return;
   }
-  // Determine the missing head-of-line sequences.
-  std::vector<uint64_t> missing;
+  // Determine the missing head-of-line messages: whole ones (no fragment heard), and
+  // the empty slots of stalled reassemblies. The NAK must fit one datagram, so
+  // entries and fragment indices are budgeted at their largest encodings.
+  constexpr size_t kEntryMaxBytes = 8 + 3;  // u64 seq + varint count (<= 0xFFFF)
+  constexpr size_t kFragMaxBytes = 3;       // varint index (<= 0xFFFF)
+  size_t budget = config_.chunk_size;
+  NakPacket nak;
+  nak.stream_id = stream_id;
   uint64_t horizon = s.highest_seen;
   if (!s.partials.empty()) {
     horizon = std::max(horizon, s.partials.rbegin()->first);
   }
-  for (uint64_t seq = s.expected; seq <= horizon && missing.size() < 64; ++seq) {
+  for (uint64_t seq = s.expected; seq <= horizon && nak.missing.size() < 64 &&
+                                  budget >= kEntryMaxBytes + kFragMaxBytes;
+       ++seq) {
     if (s.ready.count(seq) > 0) {
       continue;
     }
     auto pit = s.partials.find(seq);
     if (pit != s.partials.end() &&
         sim_->Now() - pit->second.last_update < config_.partial_stall_us) {
-      continue;  // reassembly in progress; don't request a full resend yet
+      continue;  // reassembly in progress; don't request a resend yet
     }
-    missing.push_back(seq);  // hotlint: allow(hot-container-growth) -- NAK gap list, bounded by the receive window
+    if (nak.missing.empty()) {
+      nak.missing.reserve(std::min<uint64_t>(64, horizon - seq + 1));
+    }
+    budget -= kEntryMaxBytes;
+    NakEntry& entry = nak.missing.emplace_back();
+    entry.seq = seq;
+    if (pit == s.partials.end()) {
+      continue;  // no fragment heard: an empty list asks for the whole message
+    }
+    const Partial& partial = pit->second;
+    entry.frags.reserve(partial.chunks.size() - partial.received);
+    for (size_t i = 0; i < partial.chunks.size() && budget >= kFragMaxBytes; ++i) {
+      if (partial.chunks[i].empty()) {
+        entry.frags.push_back(static_cast<uint16_t>(i));
+        budget -= kFragMaxBytes;
+      }
+    }
   }
-  if (missing.empty()) {
+  if (nak.missing.empty()) {
     if (!s.partials.empty()) {
       // Nothing to request yet, but reassemblies are pending: keep watching so a
       // stalled partial (lost final fragment) eventually gets NAKed.
@@ -555,19 +611,16 @@ void ReliableReceiver::NakScan(uint64_t stream_id) {  // hotlint: allow(hot-recu
       return;
     }
   } else if (s.sender_host != kNoHost) {
-    NakPacket nak;
-    nak.stream_id = stream_id;
-    nak.missing = missing;
     socket_->SendTo(s.sender_host, s.sender_port, FrameMessage(kPktNak, nak.Marshal()));
     naks_sent_->Inc();
     s.last_nak_at = sim_->Now();
   }
   // Exponential backoff while the same head sequence resists recovery (retransmits
   // of large messages may be queued behind a congested medium); reset on progress.
-  if (missing.front() == s.gap_head_seq && s.cur_nak_retry > 0) {
+  if (nak.missing.front().seq == s.gap_head_seq && s.cur_nak_retry > 0) {
     s.cur_nak_retry = std::min(2 * s.cur_nak_retry, config_.nak_retry_max_us);
   } else {
-    s.gap_head_seq = missing.front();
+    s.gap_head_seq = nak.missing.front().seq;
     s.cur_nak_retry = config_.nak_retry_us;
   }
   sim_->ScheduleAfter(

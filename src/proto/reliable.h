@@ -48,13 +48,16 @@ struct ReliableConfig {
   SimTime sync_hold_us = 5000;
   // A message with some fragments received counts as missing (NAK-eligible) only
   // after its reassembly has stalled this long — fragments of a large message take
-  // several frame times to arrive and must not trigger spurious retransmission.
+  // several frame times to arrive and must not trigger spurious retransmission. Its
+  // NAK entry then names the fragments still missing.
   SimTime partial_stall_us = 30 * 1000;
   SimTime nak_retry_us = 25 * 1000;       // re-NAK period while still missing
   SimTime nak_retry_max_us = 200 * 1000;  // backoff ceiling for re-NAKs (congestion)
   SimTime heartbeat_interval_us = 100 * 1000;
   SimTime heartbeat_idle_cutoff_us = 1000 * 1000;  // stop heartbeating when idle
-  SimTime retransmit_min_gap_us = 5000;   // per-seq retransmit rate limit
+  // Per-fragment repair rate limit, counted from when the previous repair of that
+  // fragment finishes transmitting.
+  SimTime retransmit_min_gap_us = 5000;
   // A receiver abandons a gap (at-most-once degradation) only when the sender has
   // been silent this long — as long as packets keep arriving, recovery keeps trying.
   SimTime sender_silence_give_up_us = 500 * 1000;
@@ -111,7 +114,8 @@ class ReliableSender {
   // Flushes any pending batch immediately.
   void Flush();
 
-  // Handles a NAK addressed to this stream (daemon routes by packet type).
+  // Handles a NAK addressed to this stream (daemon routes by packet type): rebroadcasts
+  // the fragments it names, or every fragment of an entry that names none.
   void HandleNak(const NakPacket& nak, HostId from_host, Port from_port);
 
   uint64_t stream_id() const { return stream_id_; }
@@ -119,7 +123,9 @@ class ReliableSender {
   ReliableSenderStats stats() const;
 
  private:
+  size_t FragmentCount(const Bytes& message) const;
   Status SendMessageAsPackets(uint64_t seq, const Bytes& message);
+  Status SendFragment(uint64_t seq, const Bytes& message, size_t index, size_t frag_count);
   void Retain(uint64_t seq, Bytes message);
   void ScheduleHeartbeat();
   void SendHeartbeat();
@@ -135,7 +141,9 @@ class ReliableSender {
 
   uint64_t next_seq_ = 1;  // seq 0 means "nothing sent"
   std::deque<std::pair<uint64_t, Bytes>> retained_;
-  std::unordered_map<uint64_t, SimTime> last_retransmit_;
+  // (seq, fragment) -> when its latest repair finishes transmitting; trimmed with
+  // `retained_`.
+  std::map<std::pair<uint64_t, uint16_t>, SimTime> repaired_until_;
 
   // Batch accumulation.
   std::vector<Bytes> batch_;
@@ -168,7 +176,8 @@ struct ReliableReceiverStats {
 };
 
 // Tracks every stream heard on the bus port, reassembles fragments, restores
-// per-stream order, dedups, and requests retransmission of missing sequences.
+// per-stream order, dedups, and requests retransmission of missing messages and
+// fragments.
 class ReliableReceiver {
  public:
   // `deliver` receives (stream_id, message) in per-stream order.

@@ -18,6 +18,7 @@
 #include "src/capture/pcap.h"
 #include "src/capture/reassembly.h"
 #include "src/capture/report.h"
+#include "src/proto/packets.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/subject/subject.h"
@@ -468,6 +469,85 @@ TEST(CaptureDissect, ClassifiesApplicationAndInternalTraffic) {
   EXPECT_TRUE(saw_orders);
   EXPECT_TRUE(saw_internal);   // certified acks ride _ibus.cert.*
   EXPECT_TRUE(saw_heartbeat);  // reliable-channel control traffic
+}
+
+TEST(CaptureDissect, NakShowsTheFragmentsEachEntryNames) {
+  NakPacket nak;
+  nak.stream_id = 4;
+  nak.missing = {{7, {1, 3}}, {9, {}}};
+  capture::Dissection d = capture::DissectFrame(FrameMessage(kPktNak, nak.Marshal()));
+  ASSERT_TRUE(d.parsed);
+  EXPECT_EQ(d.kind, "nak");
+  EXPECT_TRUE(d.control);
+  ASSERT_EQ(d.nak_missing.size(), 2u);
+  EXPECT_EQ(d.nak_missing[0].seq, 7u);
+  EXPECT_EQ(d.nak_missing[0].frags, (std::vector<uint16_t>{1, 3}));
+  EXPECT_TRUE(d.nak_missing[1].frags.empty());
+  EXPECT_NE(capture::RenderTree(d.root).find("nak: stream=4 missing=[7{1,3},9]"),
+            std::string::npos)
+      << capture::RenderTree(d.root);
+}
+
+// Hand-built capture of one 3-fragment message (stream 4, seq 7) broadcast from host
+// 1 to hosts 2 and 3. Host 2 loses fragment 1 and NAKs it; host 3 loses fragment 2
+// but a fault-made duplicate of it still lands, so nobody asks for it. The sender
+// repairs fragment 1 alone.
+TEST(CaptureReassembly, AttributesNaksAndRepairsToTheirFragments) {
+  std::vector<CapturedFrame> frames;
+  auto add = [&frames](uint64_t tx, HostId src, HostId dst, SimTime at, FrameFate fate,
+                       bool duplicate, Bytes payload) {
+    CapturedFrame f;
+    f.index = frames.size();
+    f.tx_id = tx;
+    f.src_host = src;
+    f.dst_host = dst;
+    f.broadcast = dst != 1;
+    f.sent_at = at;
+    f.delivered_at = at + 100;
+    f.fate = fate;
+    f.duplicate = duplicate;
+    f.payload = std::move(payload);
+    frames.push_back(f);
+  };
+  auto fragment = [](uint16_t index) {
+    DataPacket p;
+    p.stream_id = 4;
+    p.seq = 7;
+    p.frag_index = index;
+    p.frag_count = 3;
+    p.chunk = Bytes(16, static_cast<uint8_t>(index));
+    return FrameMessage(kPktData, p.Marshal());
+  };
+  for (uint16_t i = 0; i < 3; ++i) {
+    const SimTime at = 1000 * (i + 1);
+    add(i + 1, 1, 2, at, i == 1 ? FrameFate::kDroppedFault : FrameFate::kDelivered, false,
+        fragment(i));
+    add(i + 1, 1, 3, at, i == 2 ? FrameFate::kDroppedFault : FrameFate::kDelivered, false,
+        fragment(i));
+  }
+  const uint64_t drop1 = 2;  // host 2's copy of fragment 1
+  add(3, 1, 3, 3000, FrameFate::kDuplicated, true, fragment(2));
+  NakPacket nak;
+  nak.stream_id = 4;
+  nak.missing = {{7, {1}}};
+  add(4, 2, 1, 40000, FrameFate::kDelivered, false, FrameMessage(kPktNak, nak.Marshal()));
+  const uint64_t nak_index = frames.size() - 1;
+  add(5, 1, 2, 41000, FrameFate::kDelivered, false, fragment(1));
+  add(5, 1, 3, 41000, FrameFate::kDelivered, false, fragment(1));
+
+  capture::ReassemblyReport r = capture::Reassemble(frames);
+  EXPECT_EQ(r.nak_frames, 1u);
+  EXPECT_EQ(r.total_drops, 2u);
+  const capture::SeqTimeline& t = r.seqs.at({4, 7});
+  EXPECT_TRUE(t.retransmitted);
+  ASSERT_EQ(t.naks.size(), 1u);
+  EXPECT_EQ(t.naks[0].capture_index, nak_index);
+  EXPECT_EQ(t.naks[0].frags, (std::vector<uint16_t>{1}));
+  // Fragment 1's repair accounts for fragment 1's drop only.
+  EXPECT_EQ(t.caused_by_drops, (std::vector<uint64_t>{drop1}));
+  const std::string text = capture::RenderReassemblyText(r);
+  EXPECT_NE(text.find("naks=[" + std::to_string(nak_index) + "{1}]"), std::string::npos)
+      << text;
 }
 
 }  // namespace

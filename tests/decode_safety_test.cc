@@ -12,6 +12,7 @@
 #include "src/bus/message.h"
 #include "src/capture/capture.h"
 #include "src/journal/format.h"
+#include "src/proto/packets.h"
 #include "src/services/bus_monitor.h"
 #include "src/telemetry/busstat.h"
 #include "src/telemetry/health.h"
@@ -142,6 +143,61 @@ TEST(DecodeSafety, BusstatRejectsTrailingGarbage) {
   b.push_back(0x07);
   telemetry::StatSeriesDecoder dec;
   EXPECT_FALSE(dec.DecodeSample(b).ok());
+}
+
+// --- fragment-list NAKs (version 1) ---------------------------------------------
+
+// A NAK asking for message 7's fragments {1, 3}, built by hand so each test can
+// poison one field. `n` is the fragment count as sent; `frags` the indices as sent.
+Bytes HandBuiltNak(uint64_t n, const std::vector<uint64_t>& frags) {
+  WireWriter w;
+  w.PutU8(kNakVersion);
+  w.PutU64(3);  // stream
+  w.PutVarint(1);  // one entry
+  w.PutU64(7);  // seq
+  w.PutVarint(n);
+  for (uint64_t f : frags) {
+    w.PutVarint(f);
+  }
+  return w.Take();
+}
+
+TEST(DecodeSafety, NakHandBuiltBaselineDecodes) {
+  auto nak = NakPacket::Unmarshal(HandBuiltNak(2, {1, 3}));
+  ASSERT_TRUE(nak.ok()) << nak.status().ToString();
+  ASSERT_EQ(nak->missing.size(), 1u);
+  EXPECT_EQ(nak->missing[0].seq, 7u);
+  EXPECT_EQ(nak->missing[0].frags, (std::vector<uint16_t>{1, 3}));
+}
+
+TEST(DecodeSafety, NakRejectsTruncatedFragmentList) {
+  EXPECT_FALSE(NakPacket::Unmarshal(HandBuiltNak(3, {1, 3})).ok());
+  Bytes b = HandBuiltNak(2, {1, 300});
+  b.pop_back();  // cut inside the two-byte varint of the last index
+  EXPECT_FALSE(NakPacket::Unmarshal(b).ok());
+}
+
+TEST(DecodeSafety, NakRejectsImplausibleFragmentCount) {
+  // A count far beyond the remaining bytes must fail before sizing anything.
+  EXPECT_FALSE(NakPacket::Unmarshal(HandBuiltNak(0xFFFFFFFFFFull, {1, 3})).ok());
+}
+
+TEST(DecodeSafety, NakRejectsFragmentIndexAbove0xFFFF) {
+  ASSERT_TRUE(NakPacket::Unmarshal(HandBuiltNak(1, {0xFFFF})).ok());
+  EXPECT_FALSE(NakPacket::Unmarshal(HandBuiltNak(1, {0x10000})).ok());
+  EXPECT_FALSE(NakPacket::Unmarshal(HandBuiltNak(2, {1, 0xFFFFFFFFFFull})).ok());
+}
+
+TEST(DecodeSafety, NakRejectsTrailingGarbage) {
+  Bytes b = HandBuiltNak(2, {1, 3});
+  b.push_back(0x00);
+  EXPECT_FALSE(NakPacket::Unmarshal(b).ok());
+}
+
+TEST(DecodeSafety, NakRejectsAnUnknownVersion) {
+  Bytes b = HandBuiltNak(2, {1, 3});
+  b[0] = static_cast<uint8_t>(kNakVersion + 1);
+  EXPECT_FALSE(NakPacket::Unmarshal(b).ok());
 }
 
 }  // namespace

@@ -5,6 +5,12 @@
 // silent duplicates or reordering.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
+#include "src/proto/packets.h"
+#include "src/proto/reliable.h"
+#include "src/wire/wire.h"
 #include "tests/bus_fixture.h"
 
 namespace ibus {
@@ -15,7 +21,30 @@ struct FaultCase {
   double dup;
   SimTime jitter_us;
   bool batching;
+  // Every message spans 4-6 fragments, so most losses leave a partial reassembly
+  // whose missing fragments the NAK must name and the sender repair one by one.
+  bool large = false;
 };
+
+// Records every NAK frame on the segment: how many there were, and how many of their
+// entries named fragments rather than a whole message.
+struct NakTap : NetworkTap {
+  void OnFrame(const CapturedFrame& f) override {
+    auto frame = ParseFrame(f.payload);
+    if (f.duplicate || !frame.ok() || frame->frame_type != kPktNak) {
+      return;
+    }
+    auto nak = NakPacket::Unmarshal(frame->payload);
+    ASSERT_TRUE(nak.ok()) << nak.status().ToString();
+    ++naks;
+    for (const NakEntry& e : nak->missing) {
+      fragment_entries += e.frags.empty() ? 0 : 1;
+    }
+  }
+  uint64_t naks = 0;
+  uint64_t fragment_entries = 0;
+};
+
 
 class ReliableUnderFaultsTest : public BusFixture,
                                 public ::testing::WithParamInterface<FaultCase> {};
@@ -25,6 +54,8 @@ TEST_P(ReliableUnderFaultsTest, ExactlyOnceInOrder) {
   BusConfig cfg;
   cfg.reliable.batching_enabled = fc.batching;
   SetUpBus(3, cfg);
+  NakTap tap;
+  net_->AttachTap(&tap);
 
   auto pub = MakeClient(0, "pub");
   auto sub1 = MakeClient(1, "sub1");
@@ -58,7 +89,10 @@ TEST_P(ReliableUnderFaultsTest, ExactlyOnceInOrder) {
   Rng rng(99);
   for (int i = 0; i < kMessages; ++i) {
     // Mix small and fragmented messages.
-    size_t size = rng.Chance(0.2) ? 4000 + rng.NextBelow(4000) : 8 + rng.NextBelow(200);
+    const size_t chunk = cfg.reliable.chunk_size;
+    size_t size = fc.large         ? 3 * chunk + 1 + rng.NextBelow(2 * chunk)
+                  : rng.Chance(0.2) ? 4000 + rng.NextBelow(4000)
+                                    : 8 + rng.NextBelow(200);
     Bytes payload = ToBytes(std::to_string(i));
     payload.resize(std::max(payload.size(), size), '.');
     // Keep the numeric prefix parseable.
@@ -76,6 +110,14 @@ TEST_P(ReliableUnderFaultsTest, ExactlyOnceInOrder) {
       EXPECT_EQ((*got)[static_cast<size_t>(i)], i);
     }
   }
+  for (const auto& d : daemons_) {
+    EXPECT_EQ(d->receiver_stats().gaps, 0u);
+  }
+  if (fc.large && fc.drop > 0) {
+    // A lost fragment that is never repaired leaves its message undelivered (or
+    // abandoned as a gap once the sender goes quiet): the checks above catch it.
+    EXPECT_GT(tap.fragment_entries, 0u) << "no NAK named a fragment (naks=" << tap.naks << ")";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -83,12 +125,16 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FaultCase{0.0, 0.0, 0, false}, FaultCase{0.1, 0.0, 0, false},
                       FaultCase{0.3, 0.0, 0, false}, FaultCase{0.0, 0.3, 0, false},
                       FaultCase{0.0, 0.0, 2000, false}, FaultCase{0.15, 0.15, 1000, false},
-                      FaultCase{0.1, 0.0, 0, true}, FaultCase{0.2, 0.2, 1500, true}),
+                      FaultCase{0.1, 0.0, 0, true}, FaultCase{0.2, 0.2, 1500, true},
+                      FaultCase{0.1, 0.0, 0, false, true},
+                      FaultCase{0.1, 0.1, 1500, false, true},
+                      FaultCase{0.2, 0.2, 1500, false, true}),
     [](const ::testing::TestParamInfo<FaultCase>& info) {
       const FaultCase& c = info.param;
       return "drop" + std::to_string(static_cast<int>(c.drop * 100)) + "_dup" +
              std::to_string(static_cast<int>(c.dup * 100)) + "_jit" +
-             std::to_string(c.jitter_us) + (c.batching ? "_batch" : "_nobatch");
+             std::to_string(c.jitter_us) + (c.batching ? "_batch" : "_nobatch") +
+             (c.large ? "_large" : "");
     });
 
 class ProtoDegradationTest : public BusFixture {};
@@ -399,6 +445,225 @@ TEST_F(BatchFlushTimingTest, BusyMediumDefersFlushAtMostByTheBacklog) {
   EXPECT_GE(tap_.sent_at[0], deadline);
   EXPECT_LE(tap_.sent_at[0], deadline + backlog_at_deadline);
   EXPECT_EQ(sender_->stats().batches_sent, 1u);
+}
+
+// Records the DATA fragments host `src` puts on the medium, one entry per transmission.
+struct FragmentTap : NetworkTap {
+  void OnFrame(const CapturedFrame& f) override {
+    if (f.src_host != src || f.tx_id == last_tx) {
+      return;
+    }
+    last_tx = f.tx_id;
+    auto frame = ParseFrame(f.payload);
+    if (frame.ok() && frame->frame_type == kPktData) {
+      auto pkt = DataPacket::Unmarshal(frame->payload);
+      ASSERT_TRUE(pkt.ok());
+      sent.emplace_back(pkt->seq, pkt->frag_index);
+    }
+  }
+  HostId src = kNoHost;
+  uint64_t last_tx = 0;
+  std::vector<std::pair<uint64_t, uint16_t>> sent;  // (seq, fragment) per transmission
+};
+
+// A bare sender and two receivers on a paper-testbed LAN (4.3 ms per frame), wired
+// through their bus sockets as the daemon wires them. Receiver 0 loses the DATA
+// fragments listed in `lose_`, each on its first arrival only.
+class FragmentRepairTest : public ::testing::Test {
+ protected:
+  static constexpr Port kBusPort = 7000;
+  static constexpr uint64_t kStream = 1;
+  static constexpr size_t kFrags = 5;
+
+  FragmentRepairTest() : net_(&sim_) {
+    SegmentConfig lan;
+    lan.host_cpu_us_per_frame = 4300;
+    SegmentId seg = net_.AddSegment(lan);
+    HostId sender_host = net_.AddHost("sender", seg);
+    tap_.src = sender_host;
+    net_.AttachTap(&tap_);
+    sender_socket_ = net_.OpenSocket(sender_host, kBusPort, [this](const Datagram& d) {
+                           auto frame = ParseFrame(d.payload);
+                           if (frame.ok() && frame->frame_type == kPktNak) {
+                             auto nak = NakPacket::Unmarshal(frame->payload);
+                             ASSERT_TRUE(nak.ok());
+                             sender_->HandleNak(*nak, d.src_host, d.src_port);
+                           }
+                         }).take();
+    sender_ = std::make_unique<ReliableSender>(&sim_, sender_socket_.get(), kBusPort,
+                                               kStream, config_);
+    for (size_t i = 0; i < 2; ++i) {
+      HostId host = net_.AddHost("receiver" + std::to_string(i), seg);
+      auto handler = [this, i](const Datagram& d) {
+        auto frame = ParseFrame(d.payload);
+        if (!frame.ok()) {
+          return;
+        }
+        if (frame->frame_type == kPktData) {
+          auto pkt = DataPacket::Unmarshal(frame->payload);
+          if (pkt.ok() && !(i == 0 && lose_.erase(pkt->frag_index) > 0)) {
+            receivers_[i]->HandleData(*pkt, d.src_host, d.src_port);
+          }
+        } else if (frame->frame_type == kPktHeartbeat) {
+          auto pkt = HeartbeatPacket::Unmarshal(frame->payload);
+          if (pkt.ok()) {
+            receivers_[i]->HandleHeartbeat(*pkt, d.src_host, d.src_port);
+          }
+        }
+      };
+      receiver_sockets_[i] = net_.OpenSocket(host, kBusPort, handler).take();
+      receivers_[i] = std::make_unique<ReliableReceiver>(
+          &sim_, receiver_sockets_[i].get(), config_,
+          [this, i](uint64_t, const Bytes& m) { delivered_[i].push_back(m); });
+    }
+  }
+
+  // A message of `frags` fragments (the last one partly filled) with recognisable
+  // content.
+  Bytes MessageOf(size_t frags) const {
+    Bytes m((frags - 1) * config_.chunk_size + 100);
+    for (size_t i = 0; i < m.size(); ++i) {
+      m[i] = static_cast<uint8_t>(i * 7);
+    }
+    return m;
+  }
+
+  // Latches both receivers onto the stream with one loss-free message.
+  void WarmUp() {
+    ASSERT_TRUE(sender_->Publish(Bytes(16, 1)).ok());
+    sim_.RunFor(200 * kMillisecond);
+    ASSERT_EQ(delivered_[0].size(), 1u);
+    ASSERT_EQ(delivered_[1].size(), 1u);
+  }
+
+  // Publishes `m` and returns its sequence number.
+  uint64_t PublishAndGetSeq(const Bytes& m) {
+    EXPECT_TRUE(sender_->Publish(m).ok());
+    return sender_->next_seq() - 1;
+  }
+
+  static NakPacket Nak(uint64_t seq, std::vector<uint16_t> frags) {
+    NakPacket nak;
+    nak.stream_id = kStream;
+    nak.missing.push_back({seq, std::move(frags)});
+    return nak;
+  }
+
+  Simulator sim_;
+  Network net_;
+  FragmentTap tap_;
+  ReliableConfig config_;
+  std::unique_ptr<UdpSocket> sender_socket_;
+  std::unique_ptr<ReliableSender> sender_;
+  std::unique_ptr<UdpSocket> receiver_sockets_[2];
+  std::unique_ptr<ReliableReceiver> receivers_[2];
+  std::vector<Bytes> delivered_[2];
+  std::set<uint16_t> lose_;
+};
+
+TEST_F(FragmentRepairTest, OneLostFragmentCostsOneRepairPacket) {
+  WarmUp();
+  const Bytes message = MessageOf(kFrags);
+  lose_ = {2};
+  const ReliableSenderStats before = sender_->stats();
+  const size_t sent_before = tap_.sent.size();
+  const uint64_t seq = PublishAndGetSeq(message);
+  sim_.RunFor(2 * kSecond);
+
+  for (const std::vector<Bytes>& got : delivered_) {
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[1], message);
+  }
+  EXPECT_TRUE(lose_.empty());
+  const ReliableSenderStats after = sender_->stats();
+  EXPECT_EQ(after.packets_sent - before.packets_sent, kFrags + 1);
+  EXPECT_EQ(after.retransmits - before.retransmits, 1u);
+  EXPECT_EQ(after.naks_received - before.naks_received, 1u);
+  ASSERT_EQ(tap_.sent.size() - sent_before, kFrags + 1);
+  EXPECT_EQ(tap_.sent.back(), std::make_pair(seq, uint16_t{2}));
+}
+
+TEST_F(FragmentRepairTest, LongLossListsAreSplitAcrossDatagramSizedNaks) {
+  WarmUp();
+  // Receiver 0 hears every tenth fragment (so the sender never looks silent) and
+  // misses 899: listing them all would take ~1.8 KB, more than one datagram carries.
+  constexpr uint16_t kBig = 1000;
+  const Bytes message = MessageOf(kBig);
+  for (uint16_t i = 0; i < kBig; ++i) {
+    if (i % 10 != 0) {
+      lose_.insert(i);
+    }
+  }
+  const ReliableSenderStats before = sender_->stats();
+  PublishAndGetSeq(message);
+  sim_.RunFor(30 * kSecond);
+
+  for (const std::vector<Bytes>& got : delivered_) {
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[1], message);
+  }
+  EXPECT_EQ(receivers_[0]->stats().gaps, 0u);
+  EXPECT_EQ(net_.stats().frames_dropped_mtu, 0u);
+  EXPECT_GT(sender_->stats().naks_received - before.naks_received, 1u);
+}
+
+TEST_F(FragmentRepairTest, RenakWhileTheRepairIsQueuedSendsNoSecondRepair) {
+  WarmUp();
+  const uint64_t seq = PublishAndGetSeq(MessageOf(kFrags));  // ~27 ms of medium
+  const ReliableSenderStats before = sender_->stats();
+  sim_.RunFor(kMillisecond);
+  sender_->HandleNak(Nak(seq, {2}), kNoHost, 0);
+  EXPECT_EQ(sender_->stats().packets_sent - before.packets_sent, 1u);
+
+  // Past the rate-limit gap counted from when the repair was queued, but the repair
+  // is still waiting behind the message's own fragments.
+  sim_.RunFor(config_.retransmit_min_gap_us + kMillisecond);
+  ASSERT_GT(sender_socket_->BacklogUs(), 0);
+  sender_->HandleNak(Nak(seq, {2}), kNoHost, 0);
+  EXPECT_EQ(sender_->stats().packets_sent - before.packets_sent, 1u);
+  EXPECT_EQ(sender_->stats().retransmits - before.retransmits, 1u);
+
+  // The limit is per fragment: another fragment of the same message is repaired.
+  sender_->HandleNak(Nak(seq, {2, 3}), kNoHost, 0);
+  EXPECT_EQ(sender_->stats().packets_sent - before.packets_sent, 2u);
+
+  // Once the repairs have left the medium and the gap has passed, a re-NAK is served.
+  sim_.RunFor(sender_socket_->BacklogUs() + config_.retransmit_min_gap_us);
+  sender_->HandleNak(Nak(seq, {2}), kNoHost, 0);
+  EXPECT_EQ(sender_->stats().packets_sent - before.packets_sent, 3u);
+  EXPECT_EQ(sender_->stats().retransmits - before.retransmits, 3u);
+}
+
+TEST_F(FragmentRepairTest, EmptyListRepairsTheWholeMessageAndOutOfRangeIndicesAreIgnored) {
+  WarmUp();
+  const uint64_t seq = PublishAndGetSeq(MessageOf(kFrags));
+  sim_.RunFor(kSecond);
+  const ReliableSenderStats before = sender_->stats();
+  size_t sent = tap_.sent.size();
+
+  sender_->HandleNak(Nak(seq, {}), kNoHost, 0);
+  sim_.RunFor(kSecond);
+  ASSERT_EQ(tap_.sent.size() - sent, kFrags);
+  for (size_t i = 0; i < kFrags; ++i) {
+    EXPECT_EQ(tap_.sent[sent + i], std::make_pair(seq, static_cast<uint16_t>(i)));
+  }
+  EXPECT_EQ(sender_->stats().retransmits - before.retransmits, 1u);
+
+  sent = tap_.sent.size();
+  sender_->HandleNak(Nak(seq, {uint16_t{kFrags}, 7, 0xFFFF, 3}), kNoHost, 0);
+  sim_.RunFor(kSecond);
+  ASSERT_EQ(tap_.sent.size() - sent, 1u);
+  EXPECT_EQ(tap_.sent.back(), std::make_pair(seq, uint16_t{3}));
+  EXPECT_EQ(sender_->stats().retransmits - before.retransmits, 2u);
+
+  sent = tap_.sent.size();
+  sender_->HandleNak(Nak(seq, {uint16_t{kFrags}}), kNoHost, 0);
+  sim_.RunFor(kSecond);
+  EXPECT_EQ(tap_.sent.size(), sent);
+  EXPECT_EQ(sender_->stats().retransmits - before.retransmits, 2u);
+  for (const std::vector<Bytes>& got : delivered_) {
+    EXPECT_EQ(got.size(), 2u);  // repairs of a delivered message are dropped as duplicates
+  }
 }
 
 }  // namespace

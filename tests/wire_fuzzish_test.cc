@@ -87,10 +87,25 @@ std::vector<Target> Targets() {
   }
 
   {
+    // Whole-message entries and fragment lists, with one- to three-byte indices.
     NakPacket p;
     p.stream_id = 3;
-    p.missing = {4, 9, 10};
+    p.missing = {{4, {}}, {9, {1, 3}}, {10, {0, 300, 0xFFFF}}};
     out.push_back({"nak_packet", p.Marshal(),
+                   [](const Bytes& b) { return NakPacket::Unmarshal(b).ok(); }, true});
+  }
+
+  {
+    // One long fragment list: every cut inside it must be rejected.
+    NakPacket p;
+    p.stream_id = 3;
+    NakEntry e;
+    e.seq = 12;
+    for (uint16_t f = 0; f < 40; ++f) {
+      e.frags.push_back(static_cast<uint16_t>(f * 97));
+    }
+    p.missing.push_back(e);
+    out.push_back({"nak_packet_long_list", p.Marshal(),
                    [](const Bytes& b) { return NakPacket::Unmarshal(b).ok(); }, true});
   }
 
